@@ -4,7 +4,10 @@ The expression language is the XPath subset the rules use: child
 (``/``), descendant (``//``) and attribute (``@``) axes, with an
 optional value condition on the final step.  Patterns are expanded
 against the set of every root-to-node path of the protected document
-(the AllPaths table) by structural step-wise matching.
+(the AllPaths table).  AllPaths is prefix-closed, so it is stored as a
+trie: a map from each parent's steps to its child paths.  A pattern runs
+as a nondeterministic automaton over that trie, one state per matched
+segment, and recursive closure walks the subtrees below its paths.
 """
 
 from __future__ import annotations
@@ -57,14 +60,6 @@ class AbsolutePath:
         if not text.startswith("/") or "//" in text:
             raise PathSyntaxError("not a canonical absolute path: %r" % text)
         return cls(tuple(text[1:].split("/")))
-
-    def prefixes(self) -> Iterator["AbsolutePath"]:
-        """Every proper prefix, shortest first."""
-        for n in range(1, len(self.steps)):
-            yield AbsolutePath(self.steps[:n])
-
-    def is_proper_prefix_of(self, other: "AbsolutePath") -> bool:
-        return len(self.steps) < len(other.steps) and other.steps[: len(self.steps)] == self.steps
 
 
 @dataclass(frozen=True)
@@ -125,17 +120,39 @@ def parse_path_expr(text: str) -> PathExpr:
 
 @dataclass(frozen=True)
 class AllPaths:
-    """Prefix-closed set of every absolute path in the protected document."""
+    """Prefix-closed set of every absolute path in the protected document.
+
+    ``children`` is the trie over ``paths``: parent steps (``()`` for the
+    root) to the child paths one step below.  Each key is the parent
+    path's own steps tuple, so the trie copies no steps.
+    """
 
     paths: frozenset[AbsolutePath] = field(default_factory=frozenset)
+    children: dict[tuple[str, ...], list[AbsolutePath]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        own = {p.steps: p.steps for p in self.paths}
+        own[()] = ()
+        children: dict[tuple[str, ...], list[AbsolutePath]] = {}
+        for p in self.paths:
+            parent = own.get(p.steps[:-1])
+            if parent is None:
+                raise ValueError("paths are not prefix-closed: %s has no parent" % p)
+            children.setdefault(parent, []).append(p)
+        object.__setattr__(self, "children", children)
 
     @classmethod
     def from_paths(cls, paths: Iterable[AbsolutePath]) -> "AllPaths":
-        closed = set()
-        for p in paths:
-            closed.add(p)
-            closed.update(p.prefixes())
-        return cls(frozenset(closed))
+        closed = {p.steps: p for p in paths}
+        for steps in list(closed):
+            # stop at the first prefix present: its own walk closes it
+            steps = steps[:-1]
+            while steps and steps not in closed:
+                closed[steps] = AbsolutePath(steps)
+                steps = steps[:-1]
+        return cls(frozenset(closed.values()))
 
     def __contains__(self, path: AbsolutePath) -> bool:
         return path in self.paths
@@ -161,15 +178,13 @@ def build_allpaths_from_document(source) -> AllPaths:
     else:
         root = ET.parse(source).getroot()
     found: set[AbsolutePath] = set()
-
-    def walk(elem, steps: tuple[str, ...]) -> None:
+    stack = [(root, (root.tag,))]
+    while stack:
+        elem, steps = stack.pop()
         found.add(AbsolutePath(steps))
         for name in elem.attrib:
             found.add(AbsolutePath(steps + ("@" + name,)))
-        for child in elem:
-            walk(child, steps + (child.tag,))
-
-    walk(root, (root.tag,))
+        stack.extend((child, steps + (child.tag,)) for child in elem)
     return AllPaths.from_paths(found)
 
 
@@ -192,42 +207,46 @@ def load_allpaths_from_list(source) -> AllPaths:
     return AllPaths.from_paths(paths)
 
 
-def _segments_match(segments: tuple[tuple[str, str], ...], steps: tuple[str, ...]) -> bool:
-    """Whole-path structural match: child consumes exactly one step,
-    descendant consumes one or more with the named step last."""
-    memo: dict[tuple[int, int], bool] = {}
-
-    def match(si: int, pi: int) -> bool:
-        if si == len(segments):
-            return pi == len(steps)
-        key = (si, pi)
-        if key in memo:
-            return memo[key]
-        axis, name = segments[si]
-        if axis == CHILD:
-            ok = pi < len(steps) and steps[pi] == name and match(si + 1, pi + 1)
-        else:
-            ok = any(
-                steps[k] == name and match(si + 1, k + 1)
-                for k in range(pi, len(steps))
-            )
-        memo[key] = ok
-        return ok
-
-    return match(0, 0)
-
-
 def match_paths(expr: PathExpr, universe: AllPaths) -> set[AbsolutePath]:
-    """Every path of the universe matched by the pattern."""
-    return {p for p in universe if _segments_match(expr.segments, p.steps)}
+    """Every path of the universe matched by the pattern.
+
+    State ``i`` means the first ``i`` segments have matched.  Each trie
+    node is visited at most once, with the states its parent passed on:
+    a child segment only advances on its step name, a descendant segment
+    also stays put.  A node carrying no live state prunes its subtree.
+    """
+    segments = expr.segments
+    final = len(segments)
+    children = universe.children
+    out = set()
+    stack = [(children.get((), ()), {0})]
+    while stack:
+        kids, states = stack.pop()
+        for child in kids:
+            name = child.steps[-1]
+            nxt = set()
+            for i in states:
+                axis, want = segments[i]
+                if axis == DESCENDANT:
+                    nxt.add(i)
+                if want == name:
+                    nxt.add(i + 1)
+            if final in nxt:
+                out.add(child)
+                nxt.discard(final)
+            if nxt and (grandkids := children.get(child.steps)):
+                stack.append((grandkids, nxt))
+    return out
 
 
 def recursive_closure(paths: set[AbsolutePath], universe: AllPaths) -> set[AbsolutePath]:
     """The given paths plus every universe path strictly below one of them."""
+    children = universe.children
     out = set(paths)
-    for candidate in universe:
-        if candidate in out:
-            continue
-        if any(p.is_proper_prefix_of(candidate) for p in paths):
-            out.add(candidate)
+    stack = [p.steps for p in paths]
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            if child not in out:
+                out.add(child)
+                stack.append(child.steps)
     return out

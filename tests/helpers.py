@@ -1,6 +1,11 @@
 """Shared test utilities: random policy generation and the independent
-last-matching-rule oracle used to cross-check the compiled table."""
+last-matching-rule oracle used to cross-check the compiled table.
 
+The oracle expands rule objects with its own reference matcher (a regex
+over path text) and closure (by text prefix), so it shares no matching
+code with ``xmlauthz.paths``."""
+
+import re
 from decimal import Decimal
 from random import Random
 
@@ -14,16 +19,41 @@ from xmlauthz.predicates import (
     satisfies,
     union,
 )
-from xmlauthz.rules import AuthRule, Mode, Scope, expand_object
+from xmlauthz.rules import AuthRule, Mode, Scope
+
+
+def reference_match(expr: PathExpr, universe: AllPaths) -> set[AbsolutePath]:
+    """Paths whose whole text matches the pattern as a regex: ``/name``
+    is one step, ``//name`` is any number of steps then ``/name``."""
+    pattern = re.compile("".join(
+        ("(?:/[^/]+)*/" if axis == DESCENDANT else "/") + re.escape(step)
+        for axis, step in expr.segments
+    ))
+    return {p for p in universe if pattern.fullmatch(p.text)}
+
+
+def reference_closure(paths, universe: AllPaths) -> set[AbsolutePath]:
+    """The given paths plus every universe path whose text extends one of
+    theirs by ``/...``."""
+    prefixes = tuple(p.text + "/" for p in paths)
+    return set(paths) | {q for q in universe if q.text.startswith(prefixes)}
+
+
+def reference_expand(rule: AuthRule, universe: AllPaths) -> set[AbsolutePath]:
+    matched = reference_match(rule.object, universe)
+    if rule.scope is Scope.RECURSIVE:
+        matched = reference_closure(matched, universe)
+    return matched
 
 
 def oracle_decision(rules, universe, subject, path, value, expansions=None) -> bool:
     """Scan the rule sequence in order; the last rule whose object set
     contains the path and whose predicate admits the value wins.
-    Default is deny.  ``expansions`` may carry precomputed object sets
-    (one per rule, same order) to avoid re-expanding on every call."""
+    Default is deny.  ``expansions`` may carry precomputed
+    ``reference_expand`` object sets (one per rule, same order) to avoid
+    re-expanding on every call."""
     if expansions is None:
-        expansions = [expand_object(rule, universe) for rule in rules]
+        expansions = [reference_expand(rule, universe) for rule in rules]
     verdict = False
     for rule, objects in zip(rules, expansions):
         if rule.subject != subject:
@@ -56,7 +86,9 @@ def random_predicate(rng: Random) -> Predicate:
     return predicate_from_intervals(random_interval(rng) for _ in range(n))
 
 
-def random_universe(rng: Random, max_paths=15) -> AllPaths:
+def random_universe(rng: Random, max_paths=15, max_depth=6) -> AllPaths:
+    """A random prefix-closed universe over four names, so deep paths
+    repeat a name.  About one element in five carries an ``@name`` leaf."""
     names = ["a", "b", "c", "d"]
     paths = set()
     frontier = [()]
@@ -67,7 +99,9 @@ def random_universe(rng: Random, max_paths=15) -> AllPaths:
             if len(paths) >= max_paths:
                 break
             paths.add(AbsolutePath(steps))
-            if len(steps) < 4 and rng.random() < 0.6:
+            if len(paths) < max_paths and rng.random() < 0.2:
+                paths.add(AbsolutePath(steps + ("@" + rng.choice(names),)))
+            if len(steps) < max_depth and rng.random() < 0.6:
                 frontier.append(steps)
     return AllPaths.from_paths(paths)
 

@@ -28,7 +28,6 @@ from xmlauthz.rules import (
     Mode,
     apply_rule,
     compile_documents,
-    expand_object,
     parse_rule_document,
 )
 from xmlauthz.store import XatStore
@@ -39,6 +38,7 @@ from helpers import (
     random_predicate,
     random_rules,
     random_universe,
+    reference_expand,
     sample_values,
 )
 
@@ -98,11 +98,11 @@ def test_criterion_4_oracle_equivalence():
     rng = Random(20260824)
     mismatches = 0
     for _ in range(1000):
-        universe = random_universe(rng, max_paths=15)
+        universe = random_universe(rng, max_paths=40)
         if not len(universe):
             continue
         rules = random_rules(rng, universe, max_rules=12)
-        expansions = [expand_object(r, universe) for r in rules]
+        expansions = [reference_expand(r, universe) for r in rules]
         xat = XatStore()
         for r in rules:
             apply_rule(r, universe, xat)

@@ -117,3 +117,33 @@ class TestPaths:
 
     def test_usage_error(self):
         assert main(["paths"]) == 2
+
+
+class TestDeepDocument:
+    """A document nested 5000 elements deep: 4999 ``n`` elements around an
+    ``a`` leaf that carries one attribute, so 5001 paths."""
+
+    @pytest.fixture
+    def deep_doc(self, tmp_path):
+        doc = tmp_path / "deep.xml"
+        doc.write_text("<n>" * 4999 + '<a k="1"/>' + "</n>" * 4999)
+        return doc
+
+    def test_paths_count(self, deep_doc, capsys):
+        assert main(["paths", "--paths-doc", str(deep_doc), "--count"]) == 0
+        assert capsys.readouterr().out.strip() == "5001"
+
+    def test_compile_descendant_rule(self, deep_doc, tmp_path):
+        rules = tmp_path / "rules.xml"
+        rules.write_text(
+            "<rules><rule><subject>staff</subject><object>//a</object>"
+            "<action>select</action><type>R</type><mode>grant</mode></rule></rules>"
+        )
+        xat = tmp_path / "xat.csv"
+        argv = ["compile", "--paths-doc", str(deep_doc), "--xat", str(xat), "--rules", str(rules)]
+        assert main(argv) == 0
+        leaf = "/n" * 4999 + "/a"
+        assert xat.read_text().splitlines()[1:] == [
+            "staff,%s,-,Select" % leaf,
+            "staff,%s/@k,-,Select" % leaf,
+        ]

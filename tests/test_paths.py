@@ -20,7 +20,12 @@ from xmlauthz.paths import (
 )
 from xmlauthz.predicates import UNIVERSAL, satisfies
 
-from helpers import random_path_expr, random_universe
+from helpers import (
+    random_path_expr,
+    random_universe,
+    reference_closure,
+    reference_match,
+)
 
 
 def paths(*texts):
@@ -93,6 +98,11 @@ class TestBuildAllPaths:
     def test_malformed_xml(self):
         with pytest.raises(Exception):
             build_allpaths_from_document("<a><b></a>")
+
+    def test_direct_construction_needs_every_parent(self):
+        assert len(AllPaths(frozenset(paths("/a", "/a/b")))) == 2
+        with pytest.raises(ValueError, match="/a/b has no parent"):
+            AllPaths(frozenset(paths("/a/b")))
 
 
 class TestLoadAllPaths:
@@ -213,3 +223,32 @@ def test_document_allpaths_prefix_closed(seed):
     rng = Random(seed)
     universe = random_universe(rng)
     assert AllPaths.from_paths(universe) == universe
+
+
+# Patterns whose steps repeat along one path, plus attribute leaves.
+REPEATING_PATTERNS = ["//a//a", "/a//b/a", "//a/a", "/a//a//a", "//b//@c", "//@a"]
+
+
+@given(st.integers(0, 10**9), st.integers(1, 500))
+@settings(max_examples=100, deadline=None)
+def test_trie_agrees_with_reference(seed, max_paths):
+    rng = Random(seed)
+    universe = random_universe(rng, max_paths=max_paths, max_depth=12)
+    members = sorted(universe, key=lambda p: p.text)
+    if not members:
+        return
+    some = rng.sample(members, rng.randint(1, min(20, len(members))))
+    assert AllPaths.from_paths(some) == AllPaths(frozenset(
+        AbsolutePath(p.steps[:n]) for p in some for n in range(1, len(p.steps) + 1)
+    ))
+    exprs = [parse_path_expr(text) for text in REPEATING_PATTERNS]
+    exprs.append(random_path_expr(rng, universe, UNIVERSAL))
+    exprs.append(PathExpr(tuple(
+        (rng.choice((CHILD, DESCENDANT)), rng.choice("abcd"))
+        for _ in range(rng.randint(1, 4))
+    )))
+    for expr in exprs:
+        matched = match_paths(expr, universe)
+        assert matched == reference_match(expr, universe), expr.text
+        closed = recursive_closure(matched, universe)
+        assert closed == reference_closure(matched, universe), expr.text
